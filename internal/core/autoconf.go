@@ -27,6 +27,12 @@ type AutoConfig struct {
 	// FromKnee reports whether ε came from a detected knee (true) or
 	// from the quantile fallback (false).
 	FromKnee bool
+	// SplineFallbacks counts the candidate curves whose B-spline fit
+	// failed (too few distinct distances, a degenerate domain) and that
+	// went to knee detection unsmoothed. When the 60 % guard replaced the
+	// configuration, the first run's fallbacks are included. It is a
+	// diagnostic only: reports and golden records do not carry it.
+	SplineFallbacks int
 	// Curve is the ECDF of the selected Ê_k: the distinct sorted k-NN
 	// dissimilarities (X), the ECDF value at each (Y; vertical runs from
 	// repeated distances are collapsed to their final step), and the
@@ -117,7 +123,10 @@ func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64) (*A
 		sharp    float64        // sharpness: max knee prominence
 		gap      float64        // fallback sharpness: largest step gap
 	}
-	var curves []kCurve
+	var (
+		curves    []kCurve
+		fallbacks int
+	)
 	table, err := m.KNNTable(kHi)
 	if err != nil {
 		return nil, fmt.Errorf("core: k-NN distances: %w", err)
@@ -155,7 +164,11 @@ func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64) (*A
 		// weighting the run mean).
 		var fitYs, weights []float64
 		c.xs, c.ys, fitYs, weights = collapseSteps(xs)
-		c.smoothed = spline.SmoothWeighted(c.xs, fitYs, weights, p.SplineSmoothness)
+		// A failed fit hands back the unsmoothed targets; the knee search
+		// proceeds on them, and the fallback is counted.
+		if c.smoothed, err = spline.SmoothWeighted(c.xs, fitYs, weights, p.SplineSmoothness); err != nil {
+			fallbacks++
+		}
 		// Knee detection runs on the full sample grid: each distinct
 		// distance is repeated with its multiplicity (all copies sharing
 		// the single-valued smoothed ordinate), so ties keep their
@@ -198,8 +211,9 @@ func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64) (*A
 	}
 
 	ac := &AutoConfig{
-		MinSamples: minSamples(n),
-		K:          best.k,
+		MinSamples:      minSamples(n),
+		K:               best.k,
+		SplineFallbacks: fallbacks,
 		Curve: CurveData{
 			X:         best.xs,
 			Y:         best.ys,

@@ -313,3 +313,38 @@ func TestQuantileEpsilonAllIdentical(t *testing.T) {
 		t.Errorf("eps = %g err = %v, want positive fallback eps", ac.Epsilon, err)
 	}
 }
+
+func TestConfigureCountsSplineFallbacks(t *testing.T) {
+	// Eight one-hot segments are pairwise equidistant, so every
+	// candidate k-NN ECDF collapses to a single distinct distance — a
+	// degenerate spline domain. Each such curve must be counted, and ε
+	// still comes from the quantile fallback.
+	var values [][]byte
+	for i := 0; i < 8; i++ {
+		v := make([]byte, 8)
+		v[i] = 1
+		values = append(values, v)
+	}
+	_, m := poolFromValues(t, values)
+	cfg, err := Configure(m, DefaultParams())
+	if err != nil {
+		t.Fatalf("Configure: %v", err)
+	}
+	if want := kMax(m.Len()) - 1; cfg.SplineFallbacks != want {
+		t.Errorf("SplineFallbacks = %d, want %d (one per candidate k)", cfg.SplineFallbacks, want)
+	}
+	if cfg.FromKnee || cfg.Epsilon <= 0 {
+		t.Errorf("eps = %g fromKnee = %v, want a positive quantile-fallback eps", cfg.Epsilon, cfg.FromKnee)
+	}
+
+	// A well-posed population falls back nowhere.
+	rng := rand.New(rand.NewSource(3))
+	_, m2 := poolFromValues(t, bimodalValues(rng, 40))
+	cfg2, err := Configure(m2, DefaultParams())
+	if err != nil {
+		t.Fatalf("Configure: %v", err)
+	}
+	if cfg2.SplineFallbacks != 0 {
+		t.Errorf("bimodal SplineFallbacks = %d, want 0", cfg2.SplineFallbacks)
+	}
+}

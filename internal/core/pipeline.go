@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"protoclust/internal/dbscan"
@@ -155,16 +156,24 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 	// Section III-E: a single dominant cluster signals an ε that spans
 	// multiple knees; repeat the whole auto-configuration once on the
 	// population trimmed below the detected knee (Ê'_k) and recluster
-	// with the new, smaller ε.
+	// with the new, smaller ε. When the trimmed population is too small
+	// to configure, or the new ε is not smaller, the first result stands.
 	reconfigured := false
 	if p.FixedEpsilon <= 0 {
 		if share, _ := res.LargestClusterShare(); share > p.LargeClusterShare {
-			if cfg2, err2 := configure(ctx, m, p, cfg.Epsilon); err2 == nil && cfg2.Epsilon < cfg.Epsilon {
-				if res2, err3 := runClusterer(m, cfg2.Epsilon, cfg2.MinSamples, p); err3 == nil {
-					cfg = cfg2
-					res = res2
-					reconfigured = true
+			cfg2, err := configure(ctx, m, p, cfg.Epsilon)
+			switch {
+			case err == nil && cfg2.Epsilon < cfg.Epsilon:
+				res2, err := runClusterer(m, cfg2.Epsilon, cfg2.MinSamples, p)
+				if err != nil {
+					return nil, guardError(ctx, "recluster", err)
 				}
+				cfg2.SplineFallbacks += cfg.SplineFallbacks
+				cfg = cfg2
+				res = res2
+				reconfigured = true
+			case err != nil && !errors.Is(err, ErrTooFewSegments):
+				return nil, guardError(ctx, "reconfigure", err)
 			}
 		}
 	}
@@ -202,6 +211,16 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 		out.Noise = append(out.Noise, pool.Occurrences[idx]...)
 	}
 	return out, nil
+}
+
+// guardError reports a failed step of the 60 % guard. A cancelled
+// context is the cause whenever it has fired, so the error wraps
+// ctx.Err() even when the step itself failed on something it caused.
+func guardError(ctx context.Context, step string, err error) error {
+	if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(err, ctxErr) {
+		return fmt.Errorf("core: 60%% guard %s: %w (%v)", step, ctxErr, err)
+	}
+	return fmt.Errorf("core: 60%% guard %s: %w", step, err)
 }
 
 // CoveredBytes returns the number of message bytes the analysis can make

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"protoclust/internal/canberra"
 	"protoclust/internal/dissim"
 	"protoclust/internal/netmsg"
 )
@@ -237,12 +239,11 @@ func TestConfigureIdenticalSegmentsFails(t *testing.T) {
 	}
 }
 
-func TestLargeClusterGuard(t *testing.T) {
-	// Construct a population with a fine structure (two close modes)
-	// nested inside a coarse structure, so the first knee may span both
-	// modes. Whether or not the guard fires, the pipeline must succeed
-	// and produce a sane epsilon.
-	rng := rand.New(rand.NewSource(8))
+// nestedModeSegments builds a population with a fine structure (two
+// close modes) nested inside a coarse structure, so the first knee may
+// span both modes and trip the 60 % guard.
+func nestedModeSegments(seed int64) []netmsg.Segment {
+	rng := rand.New(rand.NewSource(seed))
 	var segs []netmsg.Segment
 	add := func(val []byte) {
 		m := &netmsg.Message{Data: val}
@@ -254,7 +255,13 @@ func TestLargeClusterGuard(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		add([]byte{byte(0x80 + rng.Intn(120)), byte(rng.Intn(255)), byte(i), byte(rng.Intn(255))})
 	}
-	res, err := ClusterSegments(segs, DefaultParams())
+	return segs
+}
+
+func TestLargeClusterGuard(t *testing.T) {
+	// Whether or not the guard fires, the pipeline must succeed and
+	// produce a sane epsilon.
+	res, err := ClusterSegments(nestedModeSegments(8), DefaultParams())
 	if err != nil {
 		t.Fatalf("ClusterSegments: %v", err)
 	}
@@ -407,5 +414,65 @@ func TestClusterSegmentsContextUncancelledMatches(t *testing.T) {
 	if len(want.Clusters) != len(got.Clusters) || want.Config.Epsilon != got.Config.Epsilon {
 		t.Fatalf("context path diverged: %d/%f vs %d/%f clusters/eps",
 			len(got.Clusters), got.Config.Epsilon, len(want.Clusters), want.Config.Epsilon)
+	}
+}
+
+// cancelAfter is a context whose Err starts returning context.Canceled
+// once it has been consulted live times.
+type cancelAfter struct {
+	context.Context
+	live int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.live > 0 {
+		c.live--
+		return nil
+	}
+	return context.Canceled
+}
+
+func TestGuardReconfigureCancelled(t *testing.T) {
+	// The guard's second auto-configuration must surface a cancellation
+	// that arrives after the first one, not fall back to the first
+	// result as if the trimmed population were too small.
+	pool := dissim.NewPool(nestedModeSegments(8))
+	m, err := dissim.Compute(pool, canberra.DefaultPenalty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	res, err := ClusterPool(pool, m, p)
+	if err != nil {
+		t.Fatalf("ClusterPool: %v", err)
+	}
+	if !res.Reconfigured {
+		t.Fatal("precondition: the 60 % guard must fire on this population")
+	}
+	// The first configuration consults ctx once per candidate k in
+	// [2, kMax], and the pipeline once more before DBSCAN.
+	ctx := &cancelAfter{Context: context.Background(), live: kMax(pool.Size())}
+	_, err = ClusterPoolContext(ctx, pool, m, p)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "guard") {
+		t.Errorf("err = %v, want it attributed to the 60 %% guard", err)
+	}
+}
+
+func TestGuardErrorWrapsCancellation(t *testing.T) {
+	cause := errors.New("tile spill failed")
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := guardError(ctx, "recluster", cause); !errors.Is(err, cause) || errors.Is(err, context.Canceled) {
+		t.Errorf("live ctx: err = %v, want the cause alone", err)
+	}
+	cancel()
+	err := guardError(ctx, "recluster", cause)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), cause.Error()) {
+		t.Errorf("cancelled ctx: err = %v, want context.Canceled naming the cause", err)
+	}
+	if err := guardError(ctx, "reconfigure", fmt.Errorf("core: auto-configuration: %w", context.Canceled)); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want wrapped context.Canceled", err)
 	}
 }

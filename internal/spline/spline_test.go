@@ -86,7 +86,10 @@ func TestSmoothReducesNoise(t *testing.T) {
 		clean[i] = math.Sin(x)
 		noisy[i] = clean[i] + rng.NormFloat64()*0.1
 	}
-	smooth := Smooth(xs, noisy, 0.08)
+	smooth, err := Smooth(xs, noisy, 0.08)
+	if err != nil {
+		t.Fatalf("Smooth: %v", err)
+	}
 	var errNoisy, errSmooth float64
 	for i := range xs {
 		errNoisy += math.Abs(noisy[i] - clean[i])
@@ -99,7 +102,10 @@ func TestSmoothReducesNoise(t *testing.T) {
 
 func TestSmoothDegenerateReturnsCopy(t *testing.T) {
 	ys := []float64{1, 2}
-	out := Smooth([]float64{3, 3}, ys, 0.5)
+	out, err := Smooth([]float64{3, 3}, ys, 0.5)
+	if err == nil {
+		t.Error("Smooth on degenerate domain: want the fit error alongside the copy")
+	}
 	if len(out) != 2 || out[0] != 1 || out[1] != 2 {
 		t.Errorf("Smooth on degenerate domain = %v, want copy of ys", out)
 	}
@@ -115,7 +121,10 @@ func TestSmoothBadSmoothnessDefaults(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = x * x
 	}
-	out := Smooth(xs, ys, -1)
+	out, err := Smooth(xs, ys, -1)
+	if err != nil {
+		t.Fatalf("Smooth: %v", err)
+	}
 	if len(out) != len(xs) {
 		t.Fatalf("Smooth returned %d values, want %d", len(out), len(xs))
 	}
@@ -135,10 +144,26 @@ func TestBasisPartitionOfUnity(t *testing.T) {
 	}
 }
 
+// toBand packs a dense square matrix into solveBand's row layout. It
+// panics if an entry outside the band is non-zero.
+func toBand(dense [][]float64) []float64 {
+	band := make([]float64, len(dense)*bandWidth)
+	for i, row := range dense {
+		for j, v := range row {
+			if d := j - i; d >= -degree && d <= 2*degree {
+				band[i*bandWidth+d+degree] = v
+			} else if !vecmath.IsZero(v) {
+				panic("toBand: entry outside the band")
+			}
+		}
+	}
+	return band
+}
+
 func TestSolve(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
+	a := toBand([][]float64{{2, 1}, {1, 3}})
 	b := []float64{5, 10}
-	x, err := solve(a, b)
+	x, err := solveBand(a, b)
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -149,9 +174,9 @@ func TestSolve(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a := [][]float64{{1, 1}, {1, 1}}
+	a := toBand([][]float64{{1, 1}, {1, 1}})
 	b := []float64{1, 2}
-	if _, err := solve(a, b); !errors.Is(err, ErrSingular) {
+	if _, err := solveBand(a, b); !errors.Is(err, ErrSingular) {
 		t.Errorf("singular system err = %v, want ErrSingular", err)
 	}
 }
@@ -168,7 +193,10 @@ func TestSmoothStaysNearRangeProperty(t *testing.T) {
 			xs[i] = float64(i)
 			ys[i] = rng.Float64()
 		}
-		out := Smooth(xs, ys, 0.2)
+		out, err := Smooth(xs, ys, 0.2)
+		if err != nil {
+			return false
+		}
 		lo, hi := vecmath.Min(ys), vecmath.Max(ys)
 		margin := (hi-lo)*0.5 + 0.1
 		for _, y := range out {

@@ -80,34 +80,54 @@ const kneeProminenceShare = 0.33
 // Configure runs the ε auto-configuration of Algorithm 1 on the full
 // dissimilarity population.
 func Configure(m *dissim.Matrix, p Params) (*AutoConfig, error) {
-	return configure(context.Background(), m, p, math.Inf(1))
+	return ConfigureContext(context.Background(), m, p)
 }
 
 // ConfigureContext is Configure with a cancellation checkpoint per
 // candidate k — each iteration sorts, smooths, and knee-detects one
 // ECDF, so a cancelled context aborts within one curve's work.
 func ConfigureContext(ctx context.Context, m *dissim.Matrix, p Params) (*AutoConfig, error) {
-	return configure(ctx, m, p, math.Inf(1))
+	cfg, _, err := configure(ctx, m, p, math.Inf(1), nil)
+	return cfg, err
 }
 
 // configure implements Algorithm 1, considering only k-NN distances
 // strictly below cut (math.Inf(1) for the full population; the
 // 60 %-guard re-runs with cut = d_κ, realising Ê'_k of Section III-E).
-func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64) (*AutoConfig, error) {
+// It reads the matrix only through its k-NN table: a nil table is
+// computed and returned, so the guard's re-run passes the first run's
+// table back instead of scanning the matrix again — the table does not
+// depend on cut.
+func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64, table [][]float64) (*AutoConfig, [][]float64, error) {
 	n := m.Len()
 	if n < 3 {
-		return nil, fmt.Errorf("%w (have %d)", ErrTooFewSegments, n)
+		return nil, nil, fmt.Errorf("%w (have %d)", ErrTooFewSegments, n)
 	}
 	if p.EpsQuantile < 0 || p.EpsQuantile >= 1 {
-		return nil, fmt.Errorf("%w (got %g)", ErrBadQuantile, p.EpsQuantile)
+		return nil, nil, fmt.Errorf("%w (got %g)", ErrBadQuantile, p.EpsQuantile)
 	}
 	kLo, kHi := 2, kMax(n)
 	if p.FixedK != 0 {
 		if p.FixedK < 2 || p.FixedK > kHi {
-			return nil, fmt.Errorf("%w: k=%d, candidates are [2, %d] for n=%d", ErrKOutOfRange, p.FixedK, kHi, n)
+			return nil, nil, fmt.Errorf("%w: k=%d, candidates are [2, %d] for n=%d", ErrKOutOfRange, p.FixedK, kHi, n)
 		}
 		kLo, kHi = p.FixedK, p.FixedK
 	}
+	if table == nil {
+		var err error
+		if table, err = m.KNNTable(kHi); err != nil {
+			return nil, nil, fmt.Errorf("core: k-NN distances: %w", err)
+		}
+	}
+	cfg, err := configureFrom(ctx, m, p, cut, table, kLo, kHi)
+	return cfg, table, err
+}
+
+// configureFrom runs Algorithm 1 over the candidates k ∈ [kLo, kHi] of
+// a k-NN table that covers every k ≤ kHi (table[k-1][i], as
+// dissim.Matrix.KNNTable returns it).
+func configureFrom(ctx context.Context, m *dissim.Matrix, p Params, cut float64, table [][]float64, kLo, kHi int) (*AutoConfig, error) {
+	n := m.Len()
 
 	// For each k build the ECDF of k-NN distances (below cut), smooth
 	// it, and detect its knees. The per-k sharpness δB̂_k is the
@@ -127,10 +147,6 @@ func configure(ctx context.Context, m *dissim.Matrix, p Params, cut float64) (*A
 		curves    []kCurve
 		fallbacks int
 	)
-	table, err := m.KNNTable(kHi)
-	if err != nil {
-		return nil, fmt.Errorf("core: k-NN distances: %w", err)
-	}
 	for k := kLo; k <= kHi; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: auto-configuration: %w", err)

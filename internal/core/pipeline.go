@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"protoclust/internal/dbscan"
 	"protoclust/internal/dissim"
@@ -127,13 +128,14 @@ func ClusterPool(pool *dissim.Pool, m *dissim.Matrix, p Params) (*Result, error)
 // between and inside the pipeline stages.
 func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix, p Params) (*Result, error) {
 	var (
-		cfg *AutoConfig
-		err error
+		cfg   *AutoConfig
+		table [][]float64 // k-NN table, shared with the guard's re-run
+		err   error
 	)
 	if p.FixedEpsilon > 0 {
 		cfg = &AutoConfig{Epsilon: p.FixedEpsilon, MinSamples: minSamples(pool.Size())}
 	} else {
-		cfg, err = ConfigureContext(ctx, m, p)
+		cfg, table, err = configure(ctx, m, p, math.Inf(1), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +163,7 @@ func ClusterPoolContext(ctx context.Context, pool *dissim.Pool, m *dissim.Matrix
 	reconfigured := false
 	if p.FixedEpsilon <= 0 {
 		if share, _ := res.LargestClusterShare(); share > p.LargeClusterShare {
-			cfg2, err := configure(ctx, m, p, cfg.Epsilon)
+			cfg2, _, err := configure(ctx, m, p, cfg.Epsilon, table)
 			switch {
 			case err == nil && cfg2.Epsilon < cfg.Epsilon:
 				res2, err := runClusterer(m, cfg2.Epsilon, cfg2.MinSamples, p)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -474,5 +475,45 @@ func TestGuardErrorWrapsCancellation(t *testing.T) {
 	}
 	if err := guardError(ctx, "reconfigure", fmt.Errorf("core: auto-configuration: %w", context.Canceled)); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want wrapped context.Canceled", err)
+	}
+}
+
+func TestGuardReusesKNNTable(t *testing.T) {
+	// The guard's re-run of Algorithm 1 is handed the first run's k-NN
+	// table and must not touch the matrix again; on the tiled backend
+	// every tile acquisition shows in TileStats.
+	pool := dissim.NewPool(nestedModeSegments(8))
+	m, err := dissim.ComputeMatrix(pool, dissim.Config{
+		Penalty:      canberra.DefaultPenalty,
+		Backend:      dissim.BackendTiled,
+		MemoryBudget: 64 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	ctx := context.Background()
+	cfg, table, err := configure(ctx, m, p, math.Inf(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.TileStats()
+	if before.Computed == 0 {
+		t.Fatal("precondition: the first configuration computes tiles")
+	}
+	reused, _, err := configure(ctx, m, p, cfg.Epsilon, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := m.TileStats(); after != before {
+		t.Errorf("re-run with the k-NN table read the matrix: tile stats %+v, then %+v", before, after)
+	}
+	fresh, _, err := configure(ctx, m, p, cfg.Epsilon, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(reused.Epsilon) != math.Float64bits(fresh.Epsilon) || reused.K != fresh.K {
+		t.Errorf("re-run with the table: ε=%v k=%d; with a fresh table: ε=%v k=%d",
+			reused.Epsilon, reused.K, fresh.Epsilon, fresh.K)
 	}
 }

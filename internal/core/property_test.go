@@ -4,8 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"protoclust/internal/canberra"
+	"protoclust/internal/dbscan"
+	"protoclust/internal/dissim/tilestore"
 	"protoclust/internal/oracle"
 )
 
@@ -36,66 +40,147 @@ func randomClusters(rng *rand.Rand, n int) [][]int {
 	return out
 }
 
-// TestComputeStatsMatchesOracle cross-checks the production cluster
-// statistics (mean pairwise, max pairwise, median 1-NN) against the
-// oracle's O(n²) double-loop implementations on random clusters.
+// streamBackend is one distances implementation under test.
+type streamBackend struct {
+	name string
+	m    distances
+}
+
+// streamBackends builds one random population of short byte segments
+// on the dense, condensed and tiled backends; the tiled one has tiles
+// of a random small edge under a one-tile budget, so its upper rows
+// arrive in several spans from recomputed tiles. The alphabet is tiny,
+// so equal segments — and tied distances between and within clusters —
+// are common.
+func streamBackends(t *testing.T, rng *rand.Rand, n int) []streamBackend {
+	t.Helper()
+	views := make([]canberra.View, n)
+	for i := range views {
+		v := make(canberra.View, 2+rng.Intn(2))
+		for k := range v {
+			v[k] = float64(rng.Intn(3))
+		}
+		views[i] = v
+	}
+	tiled, err := tilestore.New(context.Background(), views, tilestore.Config{
+		TileSize:    1 + rng.Intn(5),
+		BudgetBytes: 1,
+		Penalty:     canberra.DefaultPenalty,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := dbscan.NewDenseMatrix(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	condensed, err := dbscan.NewCondensedMatrix(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := tiled.Dist(i, j)
+			dense.Set(i, j, d)
+			condensed.Set(i, j, d)
+		}
+	}
+	return []streamBackend{{"dense", dense}, {"condensed", condensed}, {"tiled", tiled}}
+}
+
+// TestComputeStatsMatchesOracle cross-checks the streamed cluster
+// statistics (mean pairwise, max pairwise, median 1-NN) of every
+// cluster of a random partition against the oracle's double loops, bit
+// for bit, on every backend.
 func TestComputeStatsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 100; trial++ {
-		m := randomPoints(rng, 2+rng.Intn(30))
-		c := make([]int, len(m))
-		for i := range c {
-			c[i] = i
-		}
-		rng.Shuffle(len(c), func(i, j int) { c[i], c[j] = c[j], c[i] })
-		c = c[:2+rng.Intn(len(c)-1)]
-
-		st := computeStats(c, m)
-		dist := func(i, j int) float64 { return m.Dist(i, j) }
-		if want := oracle.PairwiseMean(c, dist); math.Abs(st.meanD-want) > 1e-12 {
-			t.Fatalf("trial %d: meanD = %v, oracle %v", trial, st.meanD, want)
-		}
-		if want := oracle.PairwiseMax(c, dist); math.Abs(st.dmax-want) > 1e-12 {
-			t.Fatalf("trial %d: dmax = %v, oracle %v", trial, st.dmax, want)
-		}
-		if want := oracle.NearestNeighborMedian(c, dist); math.Abs(st.minmed-want) > 1e-12 {
-			t.Fatalf("trial %d: minmed = %v, oracle %v", trial, st.minmed, want)
+		n := 2 + rng.Intn(30)
+		clusters := randomClusters(rng, n)
+		for _, be := range streamBackends(t, rng, n) {
+			ms, err := computeStats(context.Background(), clusters, be.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, c := range clusters {
+				if len(c) < 2 {
+					continue
+				}
+				st := ms.stats[ci]
+				for _, f := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"meanD", st.meanD, oracle.PairwiseMean(c, be.m.Dist)},
+					{"dmax", st.dmax, oracle.PairwiseMax(c, be.m.Dist)},
+					{"minmed", st.minmed, oracle.NearestNeighborMedian(c, be.m.Dist)},
+				} {
+					if math.Float64bits(f.got) != math.Float64bits(f.want) {
+						t.Fatalf("trial %d %s cluster %d: %s = %v, oracle %v", trial, be.name, ci, f.name, f.got, f.want)
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestLinkSegmentsMatchesOracleAndSymmetric checks the closest-pair
-// search against the oracle and its argument symmetry: swapping the
-// clusters mirrors the endpoints but never changes the link distance.
+// TestLinkSegmentsMatchesOracleAndSymmetric checks the streamed
+// closest pair of every two clusters against the oracle's a-then-b
+// scan, endpoints and distance bit for bit — ties included, which the
+// tiny alphabet of streamBackends makes frequent — and its symmetry:
+// listing the clusters in reverse mirrors the endpoints onto pairs at
+// the same link distance.
 func TestLinkSegmentsMatchesOracleAndSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	ties := 0
 	for trial := 0; trial < 100; trial++ {
-		m := randomPoints(rng, 4+rng.Intn(30))
-		half := 1 + rng.Intn(len(m)-2)
-		var ca, cb []int
-		for i := range m {
-			if i < half {
-				ca = append(ca, i)
-			} else {
-				cb = append(cb, i)
+		n := 4 + rng.Intn(30)
+		clusters := randomClusters(rng, n)
+		reversed := slices.Clone(clusters)
+		slices.Reverse(reversed)
+		for _, be := range streamBackends(t, rng, n) {
+			ms, err := computeStats(context.Background(), clusters, be.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rev, err := computeStats(context.Background(), reversed, be.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(clusters) - 1
+			for i := range clusters {
+				for j := i + 1; j < len(clusters); j++ {
+					if len(clusters[i]) < 2 || len(clusters[j]) < 2 {
+						continue
+					}
+					l := ms.link(i, j)
+					oa, ob, od := oracle.LinkSegments(clusters[i], clusters[j], be.m.Dist)
+					if l.a != oa || l.b != ob || math.Float64bits(l.d) != math.Float64bits(od) {
+						t.Fatalf("trial %d %s clusters %d,%d: link (%d,%d,%v), oracle (%d,%d,%v)",
+							trial, be.name, i, j, l.a, l.b, l.d, oa, ob, od)
+					}
+					tied := 0
+					for _, x := range clusters[i] {
+						for _, y := range clusters[j] {
+							if math.Float64bits(be.m.Dist(x, y)) == math.Float64bits(od) {
+								tied++
+							}
+						}
+					}
+					if tied > 1 {
+						ties++
+					}
+					r := rev.link(last-j, last-i)
+					if math.Float64bits(r.d) != math.Float64bits(l.d) || be.m.Dist(r.a, r.b) != r.d {
+						t.Fatalf("trial %d %s: reversed link (%d,%d,%v) vs (%d,%d,%v)",
+							trial, be.name, r.a, r.b, r.d, l.a, l.b, l.d)
+					}
+				}
 			}
 		}
-		a, b, d := linkSegments(ca, cb, m)
-		dist := func(i, j int) float64 { return m.Dist(i, j) }
-		oa, ob, od := oracle.LinkSegments(ca, cb, dist)
-		if math.Abs(d-od) > 1e-12 {
-			t.Fatalf("trial %d: link distance %v, oracle %v", trial, d, od)
-		}
-		if m.Dist(a, b) != d || m.Dist(oa, ob) != od {
-			t.Fatalf("trial %d: link endpoints don't realize the link distance", trial)
-		}
-		b2, a2, d2 := linkSegments(cb, ca, m)
-		if math.Abs(d2-d) > 1e-12 {
-			t.Fatalf("trial %d: link distance not symmetric: %v vs %v", trial, d, d2)
-		}
-		if m.Dist(a2, b2) != d2 {
-			t.Fatalf("trial %d: swapped link endpoints don't realize the distance", trial)
-		}
+	}
+	if ties == 0 {
+		t.Fatal("no tied link pair was exercised")
 	}
 }
 
@@ -211,9 +296,9 @@ func TestRefinementDegenerateInputsNoPanic(t *testing.T) {
 	if out := splitClusters([][]int{{}}, func(int) int { return 1 }, p); len(out) != 1 {
 		t.Errorf("splitClusters(empty cluster) = %v", out)
 	}
-	st := computeStats([]int{0}, m)
-	if st.dmax != 0 {
-		t.Errorf("singleton stats dmax = %v", st.dmax)
+	ms, err := computeStats(context.Background(), [][]int{{0}}, m)
+	if err != nil || ms.stats[0].dmax != 0 {
+		t.Errorf("singleton stats = %+v, %v", ms, err)
 	}
 }
 

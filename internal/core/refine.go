@@ -6,21 +6,17 @@ import (
 	"math"
 	"sort"
 
+	"protoclust/internal/dbscan"
 	"protoclust/internal/vecmath"
 )
 
 // distances is the subset of the dissimilarity matrix the refinement
-// needs; satisfied by *dissim.Matrix and by test fakes.
+// needs; satisfied by *dissim.Matrix and by test fakes. The merge
+// statistics stream upper-triangle rows; rhoEps reads single pairs.
 type distances interface {
+	Len() int
 	Dist(i, j int) float64
-}
-
-// pairwiser is the optional bulk path: *dissim.Matrix serves all
-// intra-cluster pairs in one exactly-sized slice straight off its dense
-// storage (built from the precomputed kernel views), which the pipeline
-// prefers over n² single-pair Dist calls.
-type pairwiser interface {
-	PairwiseWithin(idx []int) []float64
+	dbscan.UpperStreamer
 }
 
 // clusterStats caches the per-cluster quantities used by the merge
@@ -35,65 +31,135 @@ type clusterStats struct {
 	minmed float64
 }
 
-func computeStats(c []int, m distances) clusterStats {
-	if len(c) < 2 {
-		// No pairwise distances exist; zero stats (a point cluster has
-		// no extent) beat the -Inf/NaN the aggregates below would give.
-		return clusterStats{}
-	}
-	var pair []float64
-	if pw, ok := m.(pairwiser); ok {
-		pair = pw.PairwiseWithin(c)
-	} else {
-		pair = make([]float64, 0, len(c)*(len(c)-1)/2)
-		for a := 0; a < len(c); a++ {
-			for b := a + 1; b < len(c); b++ {
-				pair = append(pair, m.Dist(c[a], c[b]))
-			}
-		}
-	}
-	st := clusterStats{
-		meanD: vecmath.Mean(pair),
-		dmax:  vecmath.Max(pair),
-	}
-	// Each member's 1-NN distance within the cluster falls out of the
-	// same pair slice (pair p covers members a and b), so the matrix is
-	// read once per pair instead of twice — on the tiled backend that
-	// halves the acquisitions of this O(|c|²) pass.
-	mins := make([]float64, len(c))
-	for i := range mins {
-		mins[i] = math.Inf(1)
-	}
-	p := 0
-	for a := 0; a < len(c); a++ {
-		for b := a + 1; b < len(c); b++ {
-			d := pair[p]
-			p++
-			if d < mins[a] {
-				mins[a] = d
-			}
-			if d < mins[b] {
-				mins[b] = d
-			}
-		}
-	}
-	st.minmed = vecmath.Median(mins)
-	return st
+// link is the closest pair between clusters i < j — the link segments
+// s_link_{i,j} = a ∈ i and s_link_{j,i} = b ∈ j — and their distance
+// d_link.
+type link struct {
+	a, b int
+	d    float64
 }
 
-// linkSegments finds the closest pair (a ∈ ci, b ∈ cj) and their
-// distance — the link segments s_link_{i,j}, s_link_{j,i} and d_link.
-func linkSegments(ci, cj []int, m distances) (a, b int, dLink float64) {
-	dLink = math.Inf(1)
-	for _, x := range ci {
-		for _, y := range cj {
-			if d := m.Dist(x, y); d < dLink {
-				dLink = d
-				a, b = x, y
+// mergeStats holds everything the merge conditions read from the
+// matrix apart from rhoEps.
+type mergeStats struct {
+	// stats is indexed by cluster; zero for clusters with fewer than
+	// two members (no pairwise distances exist, and a point cluster
+	// has no extent).
+	stats []clusterStats
+	// slot maps a cluster to its rank among the clusters with at least
+	// two members, or -1; links is the condensed triangle over slots.
+	slot  []int
+	slots int
+	links []link
+}
+
+// link returns the closest pair between clusters i < j, both with at
+// least two members.
+func (s *mergeStats) link(i, j int) link {
+	return s.links[vecmath.CheckedCondensedOff(s.slot[i], s.slot[j], s.slots)]
+}
+
+// computeStats gathers the merge statistics of every cluster with at
+// least two members, and the closest pair of every two such clusters,
+// in one pass over their rows in ascending order, reading each pair
+// once at its smaller index. Each cluster sums its pairs (a, b), a < b,
+// in ascending (a, b) order, and a link tie resolves to the smallest a,
+// then the smallest b; for members listed in ascending order, as
+// dbscan.Result.Clusters returns them, that is the order, and the first
+// strict minimum, of a double loop over the member lists. Nothing is
+// materialized per pair; the link table holds one entry per pair of
+// clusters.
+func computeStats(ctx context.Context, clusters [][]int, m distances) (*mergeStats, error) {
+	n := m.Len()
+	s := &mergeStats{stats: make([]clusterStats, len(clusters)), slot: make([]int, len(clusters))}
+	of := make([]int, n) // point → cluster with ≥ 2 members, or -1
+	for x := range of {
+		of[x] = -1
+	}
+	for ci, c := range clusters {
+		s.slot[ci] = -1
+		if len(c) < 2 {
+			continue
+		}
+		s.slot[ci] = s.slots
+		s.slots++
+		for _, x := range c {
+			of[x] = ci
+		}
+	}
+	s.links = make([]link, vecmath.CheckedTriNum(s.slots))
+	for l := range s.links {
+		s.links[l].d = math.Inf(1)
+	}
+	sums := make([]float64, len(clusters))
+	maxs := make([]float64, len(clusters))
+	for ci := range maxs {
+		maxs[ci] = math.Inf(-1)
+	}
+	mins := make([]float64, n) // each member's 1-NN distance in its cluster
+	for x := range mins {
+		mins[x] = math.Inf(1)
+	}
+
+	// The span callback is built once; x is the row being streamed.
+	var x int
+	span := func(lo int, vals []float32) {
+		cx := of[x]
+		for o, d32 := range vals {
+			y := lo + o
+			cy := of[y]
+			if cy < 0 {
+				continue
+			}
+			d := float64(d32)
+			if cy == cx {
+				sums[cx] += d
+				if d > maxs[cx] {
+					maxs[cx] = d
+				}
+				if d < mins[x] {
+					mins[x] = d
+				}
+				if d < mins[y] {
+					mins[y] = d
+				}
+				continue
+			}
+			ci, cj, a, b := cx, cy, x, y
+			if ci > cj {
+				ci, cj, a, b = cj, ci, y, x
+			}
+			l := &s.links[vecmath.CheckedCondensedOff(s.slot[ci], s.slot[cj], s.slots)]
+			if d < l.d || (vecmath.EqualExact(d, l.d) && (a < l.a || (a == l.a && b < l.b))) {
+				*l = link{a: a, b: b, d: d}
 			}
 		}
 	}
-	return a, b, dLink
+	for x = 0; x < n; x++ {
+		if of[x] < 0 {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: refinement: %w", err)
+		}
+		m.StreamUpper(x, span)
+	}
+
+	for ci, c := range clusters {
+		if len(c) < 2 {
+			continue
+		}
+		nn := make([]float64, len(c))
+		for k, x := range c {
+			nn[k] = mins[x]
+		}
+		s.stats[ci] = clusterStats{
+			meanD:  sums[ci] / float64(vecmath.CheckedTriNum(len(c))),
+			dmax:   maxs[ci],
+			minmed: vecmath.Median(nn),
+		}
+	}
+	return s, nil
 }
 
 // rhoEps is the density ρ_ε around a link segment: the median of the
@@ -118,20 +184,20 @@ func rhoEps(link int, cluster []int, eps float64, m distances) (float64, int) {
 // mergeClusters applies the two merge conditions of Section III-F
 // transitively (via union-find) and returns the merged clustering.
 // Clusters with fewer than two members cannot supply the required
-// statistics and are never merged. The context is checked once per
-// outer cluster — linkSegments makes each pair O(|ci|·|cj|) — so a
-// cancelled context aborts within one cluster's comparisons.
+// statistics and are never merged. The statistics and links come from
+// one row-ordered pass (computeStats); the context is checked per row
+// of that pass and once per outer cluster of the pair loop, so a
+// cancelled context aborts within one row or one cluster's pairs.
 func mergeClusters(ctx context.Context, clusters [][]int, m distances, p Params) ([][]int, error) {
 	n := len(clusters)
 	if n < 2 {
 		return clusters, nil
 	}
-	stats := make([]clusterStats, n)
-	for i, c := range clusters {
-		if len(c) >= 2 {
-			stats[i] = computeStats(c, m)
-		}
+	ms, err := computeStats(ctx, clusters, m)
+	if err != nil {
+		return nil, err
 	}
+	stats := ms.stats
 
 	parent := make([]int, n)
 	for i := range parent {
@@ -157,7 +223,8 @@ func mergeClusters(ctx context.Context, clusters [][]int, m distances, p Params)
 			if len(clusters[j]) < 2 {
 				continue
 			}
-			a, b, dLink := linkSegments(clusters[i], clusters[j], m)
+			l := ms.link(i, j)
+			a, b, dLink := l.a, l.b, l.d
 			si, sj := stats[i], stats[j]
 
 			// Condition 1: very close by, similar ε-density at the link.

@@ -4,71 +4,62 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"protoclust/internal/dbscan"
 )
 
-// fakeDist is a distances fake backed by 1-D point positions.
+// fakeDist is a distances fake backed by 1-D point positions. Its
+// upper-triangle rows stream as one span of quantized distances, the
+// dbscan.RowStreamer span contract.
 type fakeDist []float64
 
+func (f fakeDist) Len() int              { return len(f) }
 func (f fakeDist) Dist(i, j int) float64 { return math.Abs(f[i] - f[j]) }
+
+func (f fakeDist) StreamUpper(i int, fn func(lo int, vals []float32)) {
+	row := make([]float32, 0, len(f))
+	for j := i + 1; j < len(f); j++ {
+		row = append(row, dbscan.Quantize(f.Dist(i, j)))
+	}
+	fn(i+1, row)
+}
+
+// quantized is the value a fakeDist row carries for distance v.
+func quantized(v float64) float64 { return float64(dbscan.Quantize(v)) }
 
 func TestComputeStats(t *testing.T) {
 	// Points 0, 0.1, 0.2 → pairwise {0.1, 0.2, 0.1}.
 	m := fakeDist{0, 0.1, 0.2}
-	st := computeStats([]int{0, 1, 2}, m)
-	if math.Abs(st.meanD-(0.1+0.2+0.1)/3) > 1e-12 {
+	ms, err := computeStats(context.Background(), [][]int{{0, 1, 2}}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ms.stats[0]
+	d01, d02, d12 := quantized(0.1), quantized(0.2), quantized(0.2-0.1)
+	if math.Abs(st.meanD-(d01+d02+d12)/3) > 1e-12 {
 		t.Errorf("meanD = %v", st.meanD)
 	}
-	if math.Abs(st.dmax-0.2) > 1e-12 {
+	if math.Abs(st.dmax-d02) > 1e-12 {
 		t.Errorf("dmax = %v", st.dmax)
 	}
 	// 1-NN distances: 0.1, 0.1, 0.1 → median 0.1.
-	if math.Abs(st.minmed-0.1) > 1e-12 {
+	if math.Abs(st.minmed-d01) > 1e-12 {
 		t.Errorf("minmed = %v", st.minmed)
-	}
-}
-
-// fakePairDist adds the bulk PairwiseWithin path on top of fakeDist,
-// mimicking *dissim.Matrix.
-type fakePairDist struct {
-	fakeDist
-	calls int
-}
-
-func (f *fakePairDist) PairwiseWithin(idx []int) []float64 {
-	f.calls++
-	out := make([]float64, 0, len(idx)*(len(idx)-1)/2)
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			out = append(out, f.Dist(idx[a], idx[b]))
-		}
-	}
-	return out
-}
-
-// TestComputeStatsUsesPairwiseWithin pins the wiring: when the distance
-// source offers the bulk path (as the pipeline's matrix does), the
-// refinement statistics must use it and agree with the per-pair loop.
-func TestComputeStatsUsesPairwiseWithin(t *testing.T) {
-	points := fakeDist{0, 0.1, 0.2}
-	fp := &fakePairDist{fakeDist: points}
-	got := computeStats([]int{0, 1, 2}, fp)
-	want := computeStats([]int{0, 1, 2}, points)
-	if fp.calls != 1 {
-		t.Fatalf("PairwiseWithin called %d times, want 1", fp.calls)
-	}
-	if got != want {
-		t.Errorf("stats via PairwiseWithin = %+v, per-pair = %+v", got, want)
 	}
 }
 
 func TestLinkSegments(t *testing.T) {
 	m := fakeDist{0, 1, 5, 6}
-	a, b, d := linkSegments([]int{0, 1}, []int{2, 3}, m)
-	if a != 1 || b != 2 {
-		t.Errorf("link = (%d,%d), want (1,2)", a, b)
+	ms, err := computeStats(context.Background(), [][]int{{0, 1}, {2, 3}}, m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(d-4) > 1e-12 {
-		t.Errorf("dLink = %v, want 4", d)
+	l := ms.link(0, 1)
+	if l.a != 1 || l.b != 2 {
+		t.Errorf("link = (%d,%d), want (1,2)", l.a, l.b)
+	}
+	if math.Abs(l.d-4) > 1e-12 {
+		t.Errorf("dLink = %v, want 4", l.d)
 	}
 }
 

@@ -38,12 +38,29 @@ var (
 	ErrEmpty     = errors.New("dbscan: empty matrix")
 	ErrBadEps    = errors.New("dbscan: eps must be positive")
 	ErrBadMinPts = errors.New("dbscan: minPts must be at least 1")
+	// ErrNotStreaming reports a matrix without UpperStreamer: region
+	// queries read streamed rows, never single pairs.
+	ErrNotStreaming = errors.New("dbscan: matrix does not stream upper-triangle rows")
 )
 
 // Cluster runs DBSCAN with radius eps and density threshold minPts
 // (minimum neighborhood size, including the point itself, for a point to
-// be a core point). The clustering is deterministic: points are seeded
-// in index order.
+// be a core point). The matrix must implement UpperStreamer.
+//
+// The labels are those of index-order seeded expansion: clusters are
+// numbered by their smallest core point, and a border point joins the
+// lowest-numbered cluster among its core neighbors. They are computed
+// without expansion, in one pass over the upper-triangle rows in
+// ascending order, so every pair is read once and rows arrive in the
+// order the tiled backend caches best. When row i has been read, every
+// earlier row has reported its ε-edge to i, so i's degree — and its
+// core flag — is complete. An ε-edge (j, i), j < i, is settled once
+// both flags are known: core–core edges are unioned, core–border edges
+// recorded for the border point. A core j reaching i before that waits
+// in i's pending list, which stays shorter than minPts: once i has
+// minPts − 1 neighbors below it, i is core whatever follows, and later
+// edges are unioned on arrival. Memory is O(n·minPts) beyond a reused
+// row buffer.
 func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 	n := m.Len()
 	if n == 0 {
@@ -55,74 +72,104 @@ func Cluster(m Matrix, eps float64, minPts int) (*Result, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadMinPts, minPts)
 	}
-
-	const unvisited = -2
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = unvisited
-	}
-
-	// neighbors returns all points within eps of p (including p). When
-	// the matrix streams rows (every production backend), the region
-	// query walks float32 spans instead of paying a virtual Dist call
-	// per point; spans arrive in ascending column order carrying the
-	// same quantized values, so the result is identical either way.
-	rs, _ := m.(RowStreamer)
-	neighbors := func(p int, buf []int) []int {
-		buf = buf[:0]
-		if rs != nil {
-			rs.StreamRow(p, func(lo int, vals []float32) {
-				for o, d := range vals {
-					if float64(d) <= eps {
-						buf = append(buf, lo+o)
-					}
-				}
-			})
-			return buf
-		}
-		for q := 0; q < n; q++ {
-			if m.Dist(p, q) <= eps {
-				buf = append(buf, q)
-			}
-		}
-		return buf
+	us, ok := m.(UpperStreamer)
+	if !ok {
+		return nil, fmt.Errorf("%w (%T)", ErrNotStreaming, m)
 	}
 
 	var (
-		cluster = 0
-		nbuf    = make([]int, 0, n)
-		queue   = make([]int, 0, n)
+		core   = make([]bool, n)
+		parent = make([]int, n) // union-find forest over core points
+		// below[i] counts the ε-neighbors j < i reported so far; i is
+		// surely core once below[i]+1 >= minPts.
+		below = make([]int, n)
+		// pending holds, per point, the core neighbors below it that
+		// arrived before the point was surely core: singly linked lists
+		// in flat arrays (head -1 = empty), read at the point's row.
+		pendHead = make([]int, n)
+		pendNext []int
+		pendVal  []int
+		// borders holds (non-core point, neighbor) pairs; the neighbor
+		// is checked for being core once every flag is known.
+		borders [][2]int
+		// Row state shared with the span callback, which is built once
+		// so the pass allocates no closure per row.
+		i  int
+		up []int // ε-neighbors j > i of row i
 	)
-	for p := 0; p < n; p++ {
-		if labels[p] != unvisited {
-			continue
+	for p := range parent {
+		parent[p] = p
+		pendHead[p] = -1
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		nbuf = neighbors(p, nbuf)
-		if len(nbuf) < minPts {
-			labels[p] = Noise
-			continue
+		return x
+	}
+	// union keeps the smaller root, so every root is the smallest
+	// point of its component.
+	union := func(a, b int) {
+		if a, b = find(a), find(b); a != b {
+			parent[max(a, b)] = min(a, b)
 		}
-		// Start a new cluster and expand it breadth-first.
-		labels[p] = cluster
-		queue = append(queue[:0], nbuf...)
-		for head := 0; head < len(queue); head++ {
-			q := queue[head]
-			if labels[q] == Noise {
-				labels[q] = cluster // border point reached from a core
-				continue
-			}
-			if labels[q] != unvisited {
-				continue
-			}
-			labels[q] = cluster
-			qn := neighbors(q, make([]int, 0, minPts))
-			if len(qn) >= minPts {
-				queue = append(queue, qn...)
+	}
+	span := func(lo int, vals []float32) {
+		for o, d := range vals {
+			if float64(d) <= eps {
+				up = append(up, lo+o)
 			}
 		}
-		cluster++
+	}
+	for i = 0; i < n; i++ {
+		up = up[:0]
+		us.StreamUpper(i, span)
+		core[i] = below[i]+1+len(up) >= minPts
+		for e := pendHead[i]; e >= 0; e = pendNext[e] {
+			if core[i] {
+				union(i, pendVal[e])
+			} else {
+				borders = append(borders, [2]int{i, pendVal[e]})
+			}
+		}
+		for _, j := range up {
+			below[j]++
+			switch {
+			case !core[i]:
+				borders = append(borders, [2]int{i, j})
+			case below[j]+1 >= minPts:
+				union(i, j)
+			default:
+				pendVal = append(pendVal, i)
+				pendNext = append(pendNext, pendHead[j])
+				pendHead[j] = len(pendVal) - 1
+			}
+		}
 	}
 
+	// Roots are the smallest member of their component, so numbering
+	// roots in index order numbers the clusters by their smallest core
+	// point.
+	labels := make([]int, n)
+	cluster := 0
+	for p := 0; p < n; p++ {
+		switch {
+		case !core[p]:
+			labels[p] = Noise
+		case find(p) == p:
+			labels[p] = cluster
+			cluster++
+		default:
+			labels[p] = labels[find(p)]
+		}
+	}
+	for _, e := range borders {
+		b, c := e[0], e[1]
+		if core[c] && (labels[b] == Noise || labels[c] < labels[b]) {
+			labels[b] = labels[c]
+		}
+	}
 	return &Result{Labels: labels, NumClusters: cluster}, nil
 }
 

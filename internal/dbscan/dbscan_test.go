@@ -8,11 +8,22 @@ import (
 	"testing/quick"
 )
 
-// pointMatrix adapts 1-D points to the Matrix interface.
+// pointMatrix adapts 1-D points to the Matrix and UpperStreamer
+// interfaces.
 type pointMatrix []float64
 
 func (p pointMatrix) Len() int              { return len(p) }
 func (p pointMatrix) Dist(i, j int) float64 { return math.Abs(p[i] - p[j]) }
+
+// StreamUpper yields the columns j > i of row i as one span of
+// quantized distances, the UpperStreamer contract.
+func (p pointMatrix) StreamUpper(i int, fn func(lo int, vals []float32)) {
+	row := make([]float32, 0, len(p))
+	for j := i + 1; j < len(p); j++ {
+		row = append(row, Quantize(p.Dist(i, j)))
+	}
+	fn(i+1, row)
+}
 
 func TestClusterErrors(t *testing.T) {
 	m := pointMatrix{1, 2}
@@ -24,6 +35,11 @@ func TestClusterErrors(t *testing.T) {
 	}
 	if _, err := Cluster(m, 1, 0); !errors.Is(err, ErrBadMinPts) {
 		t.Errorf("minPts=0: err = %v", err)
+	}
+	// Embedding the interface hides StreamUpper: pair access alone is
+	// refused rather than served point by point.
+	if _, err := Cluster(struct{ Matrix }{m}, 1, 1); !errors.Is(err, ErrNotStreaming) {
+		t.Errorf("no StreamRow: err = %v", err)
 	}
 }
 

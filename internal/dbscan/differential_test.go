@@ -38,13 +38,15 @@ func randomMatrix(rng *rand.Rand, n int) *DenseMatrix {
 	return m
 }
 
-// TestClusterMatchesOracle runs the production BFS-expansion DBSCAN and
+// TestClusterMatchesOracle runs the production single-pass DBSCAN and
 // the brute-force union-find oracle on randomized inputs and demands
-// label-identical output. The two share no code shape: the oracle
-// materializes all ε-neighborhoods, unions core-core edges, numbers
-// components by smallest core index, and attaches borders to the lowest
-// reachable cluster — which is exactly what index-order seeded BFS
-// produces, so any divergence is a bug in one of them.
+// label-identical output. Both number components by smallest core index
+// and attach borders to the lowest reachable cluster — exactly what
+// index-order seeded expansion produces — but the oracle materializes
+// every ε-neighborhood before deciding anything, while production
+// reads each pair once in an upper-triangle pass and settles its edge
+// as soon as both core flags are known, so any divergence is a bug in
+// one of them.
 func TestClusterMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {

@@ -11,8 +11,9 @@ import (
 // This file holds the storage side of the Matrix interface: the float32
 // quantization contract shared by every backend, sizing helpers with
 // overflow guards, the condensed upper-triangle backend, and the
-// RowStreamer fast path the row consumers (k-NN selection, DBSCAN
-// region queries) iterate instead of assuming an aliased full row.
+// RowStreamer and UpperStreamer fast paths the row consumers (k-NN
+// selection, DBSCAN, refinement) iterate instead of assuming an aliased
+// full row.
 
 // Quantize is the single float32 quantization point of the Matrix
 // boundary: every backend stores dissimilarities as float32 (values
@@ -68,21 +69,40 @@ func CondensedBytes(n int) (int64, error) {
 // The spans jointly cover columns [0, n) exactly once, including the
 // zero diagonal entry, so consumers see the same values in the same
 // order as a j = 0…n−1 Dist loop — which keeps heap-based k-NN
-// selection and DBSCAN region queries bit-identical across backends.
+// selection bit-identical across backends.
 // Spans alias internal storage or a reused buffer: consumers must not
 // mutate them or retain them past fn's return.
 type RowStreamer interface {
 	StreamRow(i int, fn func(lo int, vals []float32))
 }
 
+// UpperStreamer is the half-row access of a symmetric matrix: fn is
+// invoked with consecutive spans of the columns j > i of row i, in
+// ascending column order and under the RowStreamer span contract, so
+// a consumer that needs every pair once reads it at its smaller index.
+// The resident and tiled backends serve it without the strided gather
+// or the left-of-diagonal tiles a whole row costs.
+type UpperStreamer interface {
+	StreamUpper(i int, fn func(lo int, vals []float32))
+}
+
 var (
-	_ RowStreamer = (*DenseMatrix)(nil)
-	_ RowStreamer = (*CondensedMatrix)(nil)
+	_ RowStreamer   = (*DenseMatrix)(nil)
+	_ RowStreamer   = (*CondensedMatrix)(nil)
+	_ UpperStreamer = (*DenseMatrix)(nil)
+	_ UpperStreamer = (*CondensedMatrix)(nil)
 )
 
 // StreamRow yields the whole dense row as one span.
 func (d *DenseMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 	fn(0, d.Row(i))
+}
+
+// StreamUpper yields the columns j > i of row i as one span.
+func (d *DenseMatrix) StreamUpper(i int, fn func(lo int, vals []float32)) {
+	if i+1 < d.n {
+		fn(i+1, d.Row(i)[i+1:])
+	}
 }
 
 // ResidentBytes returns the matrix's resident storage size.
@@ -175,6 +195,12 @@ func (c *CondensedMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 		}
 	}
 	fn(i, zeroSpan)
+	c.StreamUpper(i, fn)
+}
+
+// StreamUpper yields the columns j > i of row i as one span aliasing
+// the contiguous condensed storage.
+func (c *CondensedMatrix) StreamUpper(i int, fn func(lo int, vals []float32)) {
 	if i+1 < c.n {
 		start := c.off(i, i+1)
 		fn(i+1, c.data[start:start+c.n-i-1])

@@ -88,6 +88,26 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 						t.Fatalf("seed %d: %s StreamRow(%d) col %d = %v, dense = %v", seed, name, i, j, d32, w)
 					}
 				}
+
+				// StreamUpper replays the same row's columns (i, n).
+				upper := row[:0]
+				next = i + 1
+				m.StreamUpper(i, func(lo int, vals []float32) {
+					if lo != next || len(vals) == 0 {
+						t.Fatalf("seed %d: %s StreamUpper(%d) span at %d (len %d), want %d", seed, name, i, lo, len(vals), next)
+					}
+					next = lo + len(vals)
+					upper = append(upper, vals...)
+				})
+				if i+1 < n && next != n {
+					t.Fatalf("seed %d: %s StreamUpper(%d) covered up to %d, want %d", seed, name, i, next, n)
+				}
+				for o, d32 := range upper {
+					j := i + 1 + o
+					if w := dbscan.Quantize(ref.Dist(i, j)); math.Float32bits(d32) != math.Float32bits(w) {
+						t.Fatalf("seed %d: %s StreamUpper(%d) col %d = %v, dense = %v", seed, name, i, j, d32, w)
+					}
+				}
 			}
 
 			const kmax = 6
@@ -110,17 +130,6 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 
 			if g, w := m.MinPositive(), ref.MinPositive(); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("seed %d: %s MinPositive = %v, dense = %v", seed, name, g, w)
-			}
-
-			idx := []int{0, 3, n / 2, n - 1}
-			gotPW, wantPW := m.PairwiseWithin(idx), ref.PairwiseWithin(idx)
-			if len(gotPW) != len(wantPW) {
-				t.Fatalf("seed %d: %s PairwiseWithin len = %d, dense = %d", seed, name, len(gotPW), len(wantPW))
-			}
-			for p := range wantPW {
-				if math.Float64bits(gotPW[p]) != math.Float64bits(wantPW[p]) {
-					t.Fatalf("seed %d: %s PairwiseWithin[%d] = %v, dense = %v", seed, name, p, gotPW[p], wantPW[p])
-				}
 			}
 		}
 	}

@@ -116,11 +116,13 @@ func (p *Pool) Views() []canberra.View {
 }
 
 // store is what a matrix backend must provide: O(1) pair access plus
-// streaming row access with the shared quantization contract
-// (dbscan.Quantize), so every backend yields bit-identical distances.
+// streaming row access, whole rows and upper-triangle rows, with the
+// shared quantization contract (dbscan.Quantize), so every backend
+// yields bit-identical distances.
 type store interface {
 	dbscan.Matrix
 	dbscan.RowStreamer
+	dbscan.UpperStreamer
 }
 
 // Backend names accepted by Config.Backend.
@@ -172,8 +174,9 @@ type Matrix struct {
 }
 
 var (
-	_ dbscan.Matrix      = (*Matrix)(nil)
-	_ dbscan.RowStreamer = (*Matrix)(nil)
+	_ dbscan.Matrix        = (*Matrix)(nil)
+	_ dbscan.RowStreamer   = (*Matrix)(nil)
+	_ dbscan.UpperStreamer = (*Matrix)(nil)
 )
 
 // ErrEmptyPool is returned when a matrix is requested for a pool with no
@@ -441,6 +444,15 @@ func (m *Matrix) StreamRow(i int, fn func(lo int, vals []float32)) {
 	m.store.StreamRow(i, fn)
 }
 
+// StreamUpper streams the columns j > i of row i span by span in
+// ascending column order (see dbscan.UpperStreamer): DBSCAN and the
+// refinement read every pair once, at its smaller index, without the
+// strided prefix gather of a condensed row or the left-of-diagonal
+// tiles of a tiled one.
+func (m *Matrix) StreamUpper(i int, fn func(lo int, vals []float32)) {
+	m.store.StreamUpper(i, fn)
+}
+
 // Backend names the storage backend serving this matrix ("dense",
 // "condensed", or "tiled").
 func (m *Matrix) Backend() string { return m.backend }
@@ -487,42 +499,12 @@ func (m *Matrix) MinPositive() float64 {
 	return dbscan.MinPositiveDist(m.store)
 }
 
-// PairwiseWithin returns all pairwise dissimilarities among the given
-// unique-segment indices (used by cluster refinement for per-cluster
-// statistics). Fewer than two indices yield nil. The tiled backend
-// serves this tile-grouped; resident backends read storage directly.
-func (m *Matrix) PairwiseWithin(idx []int) []float64 {
-	if pw, ok := m.store.(interface{ PairwiseWithin([]int) []float64 }); ok {
-		return pw.PairwiseWithin(idx)
+// TileStats returns the tiled backend's traffic counters (tiles in the
+// grid, tiles computed, cache hits, spill reloads), or zero Stats on
+// the resident backends, which compute every pair once at build time.
+func (m *Matrix) TileStats() tilestore.Stats {
+	if ts, ok := m.store.(*tilestore.Store); ok {
+		return ts.Stats()
 	}
-	if len(idx) < 2 {
-		return nil
-	}
-	out := make([]float64, vecmath.CheckedTriNum(len(idx)))
-	p := 0
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			out[p] = m.store.Dist(idx[a], idx[b])
-			p++
-		}
-	}
-	return out
-}
-
-// UpperTriangle returns every pairwise dissimilarity once. Fewer than
-// two segments yield nil, matching PairwiseWithin.
-func (m *Matrix) UpperTriangle() []float64 {
-	n := m.Len()
-	if n < 2 {
-		return nil
-	}
-	out := make([]float64, vecmath.CheckedTriNum(n))
-	p := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out[p] = m.Dist(i, j)
-			p++
-		}
-	}
-	return out
+	return tilestore.Stats{}
 }

@@ -166,22 +166,8 @@ func TestKNNDistancesRange(t *testing.T) {
 	}
 }
 
-func TestPairwiseWithin(t *testing.T) {
-	segs := segsFromValues([]byte{1, 1}, []byte{2, 2}, []byte{3, 3})
-	p := NewPool(segs)
-	m, err := Compute(p, canberra.DefaultPenalty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := m.PairwiseWithin([]int{0, 1, 2})
-	if len(all) != 3 {
-		t.Fatalf("PairwiseWithin(3 items) = %d values, want 3", len(all))
-	}
-	if m.PairwiseWithin([]int{0}) != nil {
-		t.Error("PairwiseWithin of one index should be nil")
-	}
-}
-
+// TestUpperTriangle reads the strict upper triangle through
+// StreamUpper: every pair once, values in [0, 1].
 func TestUpperTriangle(t *testing.T) {
 	segs := segsFromValues([]byte{1, 1}, []byte{2, 2}, []byte{3, 3}, []byte{4, 4})
 	p := NewPool(segs)
@@ -189,9 +175,12 @@ func TestUpperTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ut := m.UpperTriangle()
+	var ut []float32
+	for i := 0; i < m.Len(); i++ {
+		m.StreamUpper(i, func(lo int, vals []float32) { ut = append(ut, vals...) })
+	}
 	if len(ut) != 6 {
-		t.Fatalf("UpperTriangle = %d values, want 6", len(ut))
+		t.Fatalf("upper triangle = %d values, want 6", len(ut))
 	}
 	for _, d := range ut {
 		if d < 0 || d > 1 {

@@ -56,6 +56,9 @@ const DefaultBudgetBytes = 256 << 20
 
 // Stats is a point-in-time snapshot of the store's traffic counters.
 type Stats struct {
+	// Tiles is the number of tiles in the upper-triangle grid, the base
+	// of the per-pass ratios (Computed / Tiles).
+	Tiles int
 	// Computed counts tiles built through the kernel.
 	Computed int64
 	// Hits counts acquisitions served from the resident LRU.
@@ -112,8 +115,9 @@ type Store struct {
 }
 
 var (
-	_ dbscan.Matrix      = (*Store)(nil)
-	_ dbscan.RowStreamer = (*Store)(nil)
+	_ dbscan.Matrix        = (*Store)(nil)
+	_ dbscan.RowStreamer   = (*Store)(nil)
+	_ dbscan.UpperStreamer = (*Store)(nil)
 )
 
 // New creates a tiled store over the given kernel views. Every view
@@ -207,6 +211,7 @@ func (s *Store) Close() error {
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
 	return Stats{
+		Tiles:    vecmath.CheckedTriNum(s.nb + 1),
 		Computed: s.computed.Load(),
 		Hits:     s.hits.Load(),
 		Reloads:  s.reloads.Load(),
@@ -280,46 +285,25 @@ func (s *Store) StreamRow(i int, fn func(lo int, vals []float32)) {
 	}
 }
 
-// PairwiseWithin returns all pairwise dissimilarities among the given
-// point indices in (a, b) upper-triangle order, reusing the most
-// recently touched tile across consecutive pairs — for sorted cluster
-// index lists (the refinement's case) this turns n² map lookups into a
-// handful of tile acquisitions.
-func (s *Store) PairwiseWithin(idx []int) []float64 {
-	if len(idx) < 2 {
-		return nil
-	}
-	out := make([]float64, vecmath.CheckedTriNum(len(idx)))
-	p := 0
-	lastKey := -1
-	var (
-		lastData []float32
-		lastCols int
-	)
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			i, j := idx[a], idx[b]
-			if i == j {
-				p++
-				continue
-			}
-			if i > j {
-				i, j = j, i
-			}
-			bi, bj := i/s.ts, j/s.ts
-			if key := s.tileIndex(bi, bj); key != lastKey {
-				lastData = s.acquire(bi, bj)
-				lastCols = s.dim(bj)
-				lastKey = key
-			}
-			// Hoisted tile-local offsets, bounded as in Dist.
-			r, c := i-bi*s.ts, j-bj*s.ts
-			row := r * lastCols
-			out[p] = float64(lastData[row+c])
-			p++
+// StreamUpper yields the columns j > i of row i as row slices of the
+// diagonal and right-of-diagonal tiles of i's block, never touching
+// the tiles left of the diagonal. See dbscan.UpperStreamer.
+func (s *Store) StreamUpper(i int, fn func(lo int, vals []float32)) {
+	bi := i / s.ts
+	r := i - bi*s.ts
+	for bj := bi; bj < s.nb; bj++ {
+		cols := s.dim(bj)
+		skip := 0 // columns at or left of the diagonal in i's own block
+		if bj == bi {
+			skip = r + 1
 		}
+		if skip == cols {
+			continue
+		}
+		data := s.acquire(bi, bj)
+		lo := r * cols // hoisted: r < dim(bi), len(data) = dim(bi)*cols
+		fn(bj*s.ts+skip, data[lo+skip:lo+cols])
 	}
-	return out
 }
 
 // acquire returns the ready data of tile (bi ≤ bj), computing or

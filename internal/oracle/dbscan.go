@@ -6,7 +6,8 @@ const Noise = -1
 
 // DBSCAN is a brute-force reference implementation of DBSCAN (Ester et
 // al., KDD 1996) formulated structurally rather than by seed-queue
-// expansion, so it shares no code shape with the production BFS in
+// expansion, and keeps whole neighborhoods in memory, so it shares no
+// code shape with the production single-pass row scan in
 // internal/dbscan:
 //
 //  1. Every ε-neighborhood is materialized by a full O(n²) scan.

@@ -3,16 +3,15 @@ package oracle
 import "math"
 
 // PairwiseMean returns the arithmetic mean of all pairwise
-// dissimilarities within cluster c, by direct double loop. NaN for
-// clusters with fewer than two members.
+// dissimilarities within cluster c, by direct double loop over the
+// pairs (c[a], c[b]) with a < b, summed in that order so the result is
+// bit-comparable with the production pass. NaN for clusters with fewer
+// than two members.
 func PairwiseMean(c []int, dist DistFunc) float64 {
 	var sum float64
 	var count int
 	for a := 0; a < len(c); a++ {
-		for b := 0; b < len(c); b++ {
-			if a == b {
-				continue
-			}
+		for b := a + 1; b < len(c); b++ {
 			sum += dist(c[a], c[b])
 			count++
 		}
@@ -20,7 +19,6 @@ func PairwiseMean(c []int, dist DistFunc) float64 {
 	if count == 0 {
 		return math.NaN()
 	}
-	// Every unordered pair was visited twice; the mean is unaffected.
 	return sum / float64(count)
 }
 

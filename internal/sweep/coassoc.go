@@ -39,8 +39,8 @@ type coassocMatrix struct {
 }
 
 var (
-	_ dbscan.Matrix      = (*coassocMatrix)(nil)
-	_ dbscan.RowStreamer = (*coassocMatrix)(nil)
+	_ dbscan.Matrix        = (*coassocMatrix)(nil)
+	_ dbscan.UpperStreamer = (*coassocMatrix)(nil)
 )
 
 // newCoassocMatrix allocates the vote triangle, honoring the memory
@@ -99,39 +99,24 @@ func (c *coassocMatrix) Dist(i, j int) float64 {
 	return float64(c.dist(c.votes[vecmath.CheckedCondensedOff(i, j, c.n)]))
 }
 
-// coassocChunk bounds StreamRow span lengths (see CondensedMatrix).
+// coassocChunk bounds StreamUpper span lengths.
 const coassocChunk = 256
 
-// StreamRow yields row i as quantized float32 spans per the
-// dbscan.RowStreamer contract: consecutive spans covering [0, n)
-// exactly once, including the zero diagonal, in ascending column order.
-func (c *coassocMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
-	buf := make([]float32, min(coassocChunk, c.n))
-	// Prefix columns j < i: entry (j, i) strides by n−j−2 per step.
-	if i > 0 {
-		o := i - 1 // off(0, i)
-		j := 0
-		for lo := 0; lo < i; lo += coassocChunk {
-			hi := min(lo+coassocChunk, i)
-			for ; j < hi; j++ {
-				buf[j-lo] = c.dist(c.votes[o])
-				o += c.n - j - 2
-			}
-			fn(lo, buf[:hi-lo])
-		}
+// StreamUpper yields the columns j > i of row i as quantized float32
+// spans per the dbscan.UpperStreamer contract; they are contiguous in
+// the triangle.
+func (c *coassocMatrix) StreamUpper(i int, fn func(lo int, vals []float32)) {
+	if i+1 >= c.n {
+		return
 	}
-	buf[0] = 0
-	fn(i, buf[:1])
-	// Suffix columns j > i: contiguous in the triangle.
-	if i+1 < c.n {
-		start := vecmath.CheckedCondensedOff(i, i+1, c.n)
-		for lo := i + 1; lo < c.n; lo += coassocChunk {
-			hi := min(lo+coassocChunk, c.n)
-			for j := lo; j < hi; j++ {
-				buf[j-lo] = c.dist(c.votes[start+j-i-1])
-			}
-			fn(lo, buf[:hi-lo])
+	buf := make([]float32, min(coassocChunk, c.n-i-1))
+	start := vecmath.CheckedCondensedOff(i, i+1, c.n)
+	for lo := i + 1; lo < c.n; lo += coassocChunk {
+		hi := min(lo+coassocChunk, c.n)
+		for j := lo; j < hi; j++ {
+			buf[j-lo] = c.dist(c.votes[start+j-i-1])
 		}
+		fn(lo, buf[:hi-lo])
 	}
 }
 
@@ -148,8 +133,8 @@ type weightedCoassocMatrix struct {
 }
 
 var (
-	_ dbscan.Matrix      = (*weightedCoassocMatrix)(nil)
-	_ dbscan.RowStreamer = (*weightedCoassocMatrix)(nil)
+	_ dbscan.Matrix        = (*weightedCoassocMatrix)(nil)
+	_ dbscan.UpperStreamer = (*weightedCoassocMatrix)(nil)
 )
 
 func newWeightedCoassocMatrix(n int) *weightedCoassocMatrix {
@@ -194,33 +179,20 @@ func (c *weightedCoassocMatrix) Dist(i, j int) float64 {
 	return float64(c.dist(c.votes[vecmath.CheckedCondensedOff(i, j, c.n)]))
 }
 
-// StreamRow yields row i as quantized float32 spans, mirroring
-// coassocMatrix.StreamRow.
-func (c *weightedCoassocMatrix) StreamRow(i int, fn func(lo int, vals []float32)) {
-	buf := make([]float32, min(coassocChunk, c.n))
-	if i > 0 {
-		o := i - 1 // off(0, i)
-		j := 0
-		for lo := 0; lo < i; lo += coassocChunk {
-			hi := min(lo+coassocChunk, i)
-			for ; j < hi; j++ {
-				buf[j-lo] = c.dist(c.votes[o])
-				o += c.n - j - 2
-			}
-			fn(lo, buf[:hi-lo])
-		}
+// StreamUpper yields the columns j > i of row i, mirroring
+// coassocMatrix.StreamUpper.
+func (c *weightedCoassocMatrix) StreamUpper(i int, fn func(lo int, vals []float32)) {
+	if i+1 >= c.n {
+		return
 	}
-	buf[0] = 0
-	fn(i, buf[:1])
-	if i+1 < c.n {
-		start := vecmath.CheckedCondensedOff(i, i+1, c.n)
-		for lo := i + 1; lo < c.n; lo += coassocChunk {
-			hi := min(lo+coassocChunk, c.n)
-			for j := lo; j < hi; j++ {
-				buf[j-lo] = c.dist(c.votes[start+j-i-1])
-			}
-			fn(lo, buf[:hi-lo])
+	buf := make([]float32, min(coassocChunk, c.n-i-1))
+	start := vecmath.CheckedCondensedOff(i, i+1, c.n)
+	for lo := i + 1; lo < c.n; lo += coassocChunk {
+		hi := min(lo+coassocChunk, c.n)
+		for j := lo; j < hi; j++ {
+			buf[j-lo] = c.dist(c.votes[start+j-i-1])
 		}
+		fn(lo, buf[:hi-lo])
 	}
 }
 

@@ -346,14 +346,14 @@ func TestWeightedCoassocMatchesEqualUnderUniformWeights(t *testing.T) {
 			}
 		}
 		var eq, wt []float32
-		cm.StreamRow(i, func(lo int, vals []float32) { eq = append(eq, vals...) })
-		wm.StreamRow(i, func(lo int, vals []float32) { wt = append(wt, vals...) })
-		if len(eq) != n || len(wt) != n {
-			t.Fatalf("row %d: stream lengths %d, %d, want %d", i, len(eq), len(wt), n)
+		cm.StreamUpper(i, func(lo int, vals []float32) { eq = append(eq, vals...) })
+		wm.StreamUpper(i, func(lo int, vals []float32) { wt = append(wt, vals...) })
+		if len(eq) != n-i-1 || len(wt) != n-i-1 {
+			t.Fatalf("row %d: stream lengths %d, %d, want %d", i, len(eq), len(wt), n-i-1)
 		}
-		for j := range eq {
-			if eq[j] != wt[j] {
-				t.Errorf("StreamRow(%d)[%d]: equal %v, weighted %v", i, j, eq[j], wt[j])
+		for o := range eq {
+			if j := i + 1 + o; eq[o] != wt[o] || float64(eq[o]) != cm.Dist(i, j) {
+				t.Errorf("StreamUpper(%d) col %d: equal %v, weighted %v, Dist %v", i, j, eq[o], wt[o], cm.Dist(i, j))
 			}
 		}
 	}
@@ -458,8 +458,8 @@ func TestParetoDominance(t *testing.T) {
 }
 
 // TestCoassocContract: the co-association matrix honors the Matrix and
-// RowStreamer contracts — StreamRow spans reproduce Dist exactly, cover
-// [0, n) in order, and values are float32-quantized.
+// UpperStreamer contracts — StreamUpper spans reproduce Dist exactly,
+// cover (i, n) in order, and values are float32-quantized.
 func TestCoassocContract(t *testing.T) {
 	const n = 37
 	cm, err := newCoassocMatrix(n, 0)
@@ -480,8 +480,8 @@ func TestCoassocContract(t *testing.T) {
 		cm.accumulate(labels)
 	}
 	for i := 0; i < n; i++ {
-		next := 0
-		cm.StreamRow(i, func(lo int, vals []float32) {
+		next := i + 1
+		cm.StreamUpper(i, func(lo int, vals []float32) {
 			if lo != next {
 				t.Fatalf("row %d: span starts at %d, want %d", i, lo, next)
 			}
@@ -490,14 +490,11 @@ func TestCoassocContract(t *testing.T) {
 				if d := cm.Dist(i, j); float64(v) != d {
 					t.Fatalf("row %d col %d: stream %v != Dist %v", i, j, v, d)
 				}
-				if i == j && v != 0 {
-					t.Fatalf("diagonal (%d) = %v, want 0", i, v)
-				}
 			}
 			next += len(vals)
 		})
 		if next != n {
-			t.Fatalf("row %d: spans cover %d columns, want %d", i, next, n)
+			t.Fatalf("row %d: spans end at column %d, want %d", i, next, n)
 		}
 	}
 	// Symmetry and range.
